@@ -578,22 +578,16 @@ pub struct ScalingResult {
 /// both execution modes.
 ///
 /// Scenario construction (population synthesis — the embarrassingly
-/// parallel part) fans across cores with
-/// [`massim::threaded::run_batch`]; the *measured* negotiations then
-/// run sequentially, so each row's microsecond figures are wall-clock
-/// free of co-runner core contention — the scaling shape is the
-/// experiment's entire point.
+/// parallel part) fans across cores on a
+/// [`WorkerPool`](loadbal_core::sweep::WorkerPool); the *measured*
+/// negotiations then run sequentially, so each row's microsecond
+/// figures are wall-clock free of co-runner core contention — the
+/// scaling shape is the experiment's entire point.
 pub fn scaling(sizes: &[usize], seed: u64) -> ScalingResult {
-    let jobs: Vec<massim::threaded::Job<Scenario>> = sizes
-        .iter()
-        .map(|&n| {
-            Box::new(move || ScenarioBuilder::random(n, 0.35, seed).build())
-                as massim::threaded::Job<Scenario>
-        })
-        .collect();
-    let threads = std::thread::available_parallelism()
-        .unwrap_or(std::num::NonZeroUsize::new(1).expect("1 > 0"));
-    let scenarios = massim::threaded::run_batch(jobs, threads);
+    let scenarios = loadbal_core::sweep::WorkerPool::with_available_parallelism()
+        .run(sizes.len(), |i| {
+            ScenarioBuilder::random(sizes[i], 0.35, seed).build()
+        });
 
     let rows = sizes
         .iter()
@@ -1226,7 +1220,7 @@ pub struct BenchMeta {
     pub lint_clean: bool,
     /// Which population backend fed the measured season: `"object"`
     /// (per-[`Household`] trees, the default) or `"slab"` (the
-    /// struct-of-arrays [`PopulationSlab`](powergrid::slab::PopulationSlab)
+    /// struct-of-arrays [`PopulationSlab`]
     /// backend). Both are byte-identical in results, but their timings
     /// are not comparable, so every record states which path ran.
     pub population_path: &'static str,
@@ -1293,8 +1287,8 @@ pub struct FleetScalingResult {
     /// Wall-clock of simulating one ≥200-household day through the
     /// allocating [`Household::demand_profile`] path, microseconds.
     pub alloc_us: u128,
-    /// The same day through [`Household::demand_profile_with`] and one
-    /// reused [`DemandScratch`], microseconds.
+    /// The same day through [`aggregate_demand`] over the same homes
+    /// (one reused scratch), microseconds.
     pub scratch_us: u128,
     /// `alloc_us / scratch_us`.
     pub hot_path_speedup: f64,
@@ -1308,8 +1302,8 @@ pub struct FleetScalingResult {
 /// sizes, each run checked byte-identical against the sequential
 /// reference. Alongside, the demand hot path is timed both ways: one
 /// simulated day of a ≥200-household cell through the allocating
-/// `demand_profile` (one `Series` per device per household) versus the
-/// scratch-reusing `demand_profile_with` the fleet runs on.
+/// per-household `demand_profile` loop versus `aggregate_demand`, the
+/// scratch-reusing path the fleet runs on.
 pub fn fleet_scaling(cells: usize, households: usize, seed: u64) -> FleetScalingResult {
     use loadbal_core::fleet::FleetRunner;
     let horizon = Horizon::new(6, 0, Season::Winter);
@@ -1361,29 +1355,30 @@ pub fn fleet_scaling(cells: usize, households: usize, seed: u64) -> FleetScaling
     let hot_homes = PopulationBuilder::new()
         .households(households.max(200))
         .build(seed);
+    let weather = WeatherModel::winter().temperatures(&axis, seed);
+    let mean_temp = weather.mean();
     let reps = 5;
     let t_alloc = Instant::now();
-    let mut alloc_total = 0.0;
+    let mut alloc_day = Series::zeros(axis);
     for _ in 0..reps {
+        alloc_day = Series::zeros(axis);
         for h in &hot_homes {
-            alloc_total += h.demand_profile(&axis, -4.0, seed).sum();
+            let profile = h.demand_profile(&axis, mean_temp, seed);
+            for (slot, load) in alloc_day.values_mut().iter_mut().zip(profile.values()) {
+                *slot += load;
+            }
         }
     }
     let alloc_us = t_alloc.elapsed().as_micros();
-    let mut scratch = DemandScratch::new(&axis);
     let t_scratch = Instant::now();
-    let mut scratch_total = 0.0;
-    for _ in 0..reps {
-        for h in &hot_homes {
-            scratch_total += h
-                .demand_profile_with(&axis, -4.0, seed, &mut scratch)
-                .iter()
-                .sum::<f64>();
-        }
+    let mut scratch_day = aggregate_demand(&hot_homes, &weather, &axis, seed);
+    for _ in 1..reps {
+        scratch_day = aggregate_demand(&hot_homes, &weather, &axis, seed);
     }
     let scratch_us = t_scratch.elapsed().as_micros();
-    assert!(
-        (alloc_total - scratch_total).abs() < 1e-6,
+    assert_eq!(
+        scratch_day.series(),
+        &alloc_day,
         "both paths simulate the same demand"
     );
 

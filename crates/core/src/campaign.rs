@@ -61,7 +61,7 @@ use crate::sync_driver::NegotiationScratch;
 use crate::utility_agent::own_process_control::OwnProcessControl;
 use crate::utility_agent::{EconomicStopRule, UtilityAgentConfig};
 use powergrid::calendar::{CalendarDay, Horizon};
-use powergrid::demand::simulate_horizon_ref;
+use powergrid::demand::simulate_horizon;
 use powergrid::household::{DemandScratch, Household};
 use powergrid::peak::{Peak, PeakDetector};
 use powergrid::prediction::{
@@ -500,7 +500,7 @@ impl<'a> CampaignBuilder<'a> {
             self.predictor.min_warmup_days(),
             self.warmup_days
         );
-        let simulated = simulate_horizon_ref(
+        let simulated = simulate_horizon(
             self.population,
             &self.weather_model,
             &self.horizon,
@@ -917,7 +917,7 @@ impl CampaignProgress<'_> {
         let scenarios = peaks
             .iter()
             .map(|peak| {
-                let scenario = ScenarioBuilder::from_peak_ref(
+                let scenario = ScenarioBuilder::from_peak(
                     self.runner.population,
                     &self.runner.axis,
                     self.runner.weathers[d].mean(),
@@ -983,7 +983,7 @@ impl CampaignProgress<'_> {
         let mut peaks = Vec::with_capacity(staged.len());
         let mut scenarios = Vec::with_capacity(staged.len());
         for (peak, scale) in staged {
-            let scenario = ScenarioBuilder::from_peak_ref(
+            let scenario = ScenarioBuilder::from_peak(
                 self.runner.population,
                 &self.runner.axis,
                 self.runner.weathers[d].mean(),

@@ -112,17 +112,26 @@ impl<'a> FleetRunner<'a> {
     /// households) becomes a fleet without duplicating a single byte of
     /// population data.
     ///
+    /// The shards are built on the fleet's [`WorkerPool`] (each build
+    /// synthesises its shard's whole-horizon demand) and added in shard
+    /// order; every build is a pure function of its shard, so the fleet
+    /// is the same for any worker count.
+    ///
     /// # Panics
     ///
-    /// Panics if `cells` is zero (via [`PopulationSlab::shards`]).
+    /// Panics if `cells` is zero (via [`PopulationSlab::shards`]), or
+    /// resurfaces a panic of `configure`.
     pub fn sharded_slab(
         mut self,
         slab: &'a PopulationSlab,
         cells: usize,
-        mut configure: impl FnMut(PopulationRef<'a>, usize) -> CampaignRunner<'a>,
+        configure: impl Fn(PopulationRef<'a>, usize) -> CampaignRunner<'a> + Sync,
     ) -> Self {
-        for (i, shard) in slab.shards(cells).into_iter().enumerate() {
-            let runner = configure(PopulationRef::Slab(shard), i);
+        let shards = slab.shards(cells);
+        let runners = self.pool().run(shards.len(), |i| {
+            configure(PopulationRef::Slab(shards[i]), i)
+        });
+        for (i, runner) in runners.into_iter().enumerate() {
             self = self.cell(format!("shard-{i}"), runner);
         }
         self

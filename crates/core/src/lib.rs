@@ -95,17 +95,17 @@
 //!    population under a [`powergrid::weather::WeatherModel`] over a
 //!    [`powergrid::calendar::Horizon`] yields per-slot demand for every
 //!    day ([`powergrid::demand::simulate_horizon`]). The population
-//!    arrives through either backend of
+//!    arrives in either storage layout of
 //!    [`powergrid::slab::PopulationRef`]: per-object
 //!    [`powergrid::household::Household`] trees, or the
 //!    struct-of-arrays [`powergrid::slab::PopulationSlab`]
-//!    (`PopulationBuilder::build_slab`) whose batched kernels make
-//!    city-scale populations practical on one box — byte-identical
-//!    results either way, so every campaign layer
+//!    (`PopulationBuilder::build_slab`) that makes city-scale
+//!    populations practical on one box. Both layouts feed one
+//!    per-household demand kernel, so results are byte-identical
+//!    either way and every campaign layer
 //!    ([`campaign::CampaignBuilder::new_ref`],
-//!    [`session::ScenarioBuilder::from_peak_ref`],
-//!    [`powergrid::demand::simulate_horizon_ref`]) is
-//!    backend-agnostic;
+//!    [`session::ScenarioBuilder::from_peak`],
+//!    [`powergrid::demand::simulate_horizon`]) takes either;
 //! 2. **Select** — a [`campaign::PredictorPolicy`] fixes the campaign's
 //!    [`powergrid::prediction::LoadPredictor`]: a given model
 //!    ([`campaign::FixedPredictor`]) or the warmup-backtest winner
@@ -175,7 +175,8 @@
 //!    (per-cell reports + cross-cell economics) that is byte-identical
 //!    for any thread count. One city-scale slab shards across cells
 //!    zero-copy by offset range ([`fleet::FleetRunner::sharded_slab`],
-//!    E20: a ~10⁶-household settlement-tier season);
+//!    which also builds the shards' campaigns on the pool; E20: a
+//!    ~10⁶-household settlement-tier season);
 //! 10. **Report** — how much of all that a season *retains* is a policy,
 //!     not a constant: a [`session::ReportTier`] chosen per campaign
 //!     ([`campaign::CampaignBuilder::report_tier`] /
@@ -203,12 +204,12 @@
 //! their bid vectors into the report instead of cloning them, and each
 //! round's reward table is snapshotted exactly once (shared `Arc` in
 //! [`message::Msg::Announce`] and [`session::RoundRecord`]). The demand
-//! hot path underneath —
-//! [`powergrid::household::Household::demand_profile_with`] /
-//! [`powergrid::device::Device::load_profile_into`] — writes into
-//! reusable [`powergrid::household::DemandScratch`] buffers, so
-//! scenario derivation allocates nothing per device per household per
-//! day (E15).
+//! hot path underneath is one per-household kernel in `powergrid`: it
+//! evaluates each device kind's duty shape once per resolution into a
+//! reusable [`powergrid::household::DemandScratch`], sums a day's
+//! slots in register blocks, and answers a peak's `(usage, potential)`
+//! from the interval's slots alone — so scenario derivation allocates
+//! nothing per device per household per day (E15).
 //!
 //! The full pipeline: grid → prediction → peaks → scenarios → campaign
 //! → fleet → **tiered report / archive**.

@@ -631,35 +631,14 @@ impl ScenarioBuilder {
     /// ([`powergrid::calendar::DayType::intensity_factor`]: 1.0 on
     /// weekdays, 1.08 on weekends) — without it, weekend scenarios would
     /// understate the demand that caused the peak.
-    pub fn from_peak(
-        households: &[powergrid::household::Household],
-        axis: &powergrid::time::TimeAxis,
-        mean_temp: f64,
-        peak: &powergrid::peak::Peak,
-        seed: u64,
-        demand_scale: f64,
-    ) -> ScenarioBuilder {
-        let mut scratch = powergrid::household::DemandScratch::new(axis);
-        ScenarioBuilder::from_peak_with(
-            households,
-            axis,
-            mean_temp,
-            peak,
-            seed,
-            demand_scale,
-            &mut scratch,
-        )
-    }
-
-    /// [`ScenarioBuilder::from_peak`] against a reusable
-    /// [`DemandScratch`](powergrid::household::DemandScratch) —
-    /// byte-identical, but a campaign day loop (or fleet worker) reuses
-    /// one scratch across every household of every peak of every day
-    /// instead of allocating per call. This is the scenario-derivation
-    /// hot path: one device profile per household per peak.
+    ///
+    /// The population may be in either layout (anything
+    /// `Into<`[`PopulationRef`](powergrid::slab::PopulationRef)`>`);
+    /// `scratch` is reused, so a campaign day loop derives every peak
+    /// of every day without allocating per household.
     #[allow(clippy::too_many_arguments)]
-    pub fn from_peak_with(
-        households: &[powergrid::household::Household],
+    pub fn from_peak<'p>(
+        population: impl Into<powergrid::slab::PopulationRef<'p>>,
         axis: &powergrid::time::TimeAxis,
         mean_temp: f64,
         peak: &powergrid::peak::Peak,
@@ -667,32 +646,7 @@ impl ScenarioBuilder {
         demand_scale: f64,
         scratch: &mut powergrid::household::DemandScratch,
     ) -> ScenarioBuilder {
-        ScenarioBuilder::from_peak_ref(
-            powergrid::slab::PopulationRef::Objects(households),
-            axis,
-            mean_temp,
-            peak,
-            seed,
-            demand_scale,
-            scratch,
-        )
-    }
-
-    /// [`ScenarioBuilder::from_peak_with`] over either population
-    /// backend ([`PopulationRef`](powergrid::slab::PopulationRef)) —
-    /// the slab arm derives the same customers through the batched
-    /// [`interval_flexibility_slab`](powergrid::slab::interval_flexibility_slab)
-    /// kernel, byte-identical to the per-object arm.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_peak_ref(
-        population: powergrid::slab::PopulationRef<'_>,
-        axis: &powergrid::time::TimeAxis,
-        mean_temp: f64,
-        peak: &powergrid::peak::Peak,
-        seed: u64,
-        demand_scale: f64,
-        scratch: &mut powergrid::household::DemandScratch,
-    ) -> ScenarioBuilder {
+        let population = population.into();
         assert!(
             demand_scale > 0.0 && demand_scale.is_finite(),
             "demand scale must be positive, got {demand_scale}"
@@ -903,12 +857,16 @@ mod tests {
             predicted_overuse: KilowattHours(30.0),
             normal_use: KilowattHours(100.0),
         };
-        let a = ScenarioBuilder::from_peak(&homes, &axis, -4.0, &peak, 9, 1.0).build();
-        let b = ScenarioBuilder::from_peak(&homes, &axis, -4.0, &peak, 9, 1.0).build();
+        let mut scratch = powergrid::household::DemandScratch::new(&axis);
+        let a =
+            ScenarioBuilder::from_peak(&homes, &axis, -4.0, &peak, 9, 1.0, &mut scratch).build();
+        let b =
+            ScenarioBuilder::from_peak(&homes, &axis, -4.0, &peak, 9, 1.0, &mut scratch).build();
         assert_eq!(a, b, "same population + peak ⇒ identical scenario");
         // The weekend intensity factor scales predicted demand (the
         // ceiling fraction is scale-invariant).
-        let weekend = ScenarioBuilder::from_peak(&homes, &axis, -4.0, &peak, 9, 1.08).build();
+        let weekend =
+            ScenarioBuilder::from_peak(&homes, &axis, -4.0, &peak, 9, 1.08, &mut scratch).build();
         for (w, c) in weekend.customers.iter().zip(&a.customers) {
             assert!(
                 (w.predicted_use.value() - 1.08 * c.predicted_use.value()).abs() < 1e-9,
@@ -955,7 +913,7 @@ mod tests {
     }
 
     #[test]
-    fn from_peak_with_scratch_matches_allocating_path() {
+    fn from_peak_scratch_reuse_leaks_no_state() {
         use powergrid::household::DemandScratch;
         use powergrid::peak::Peak;
         use powergrid::population::PopulationBuilder;
@@ -967,21 +925,16 @@ mod tests {
             predicted_overuse: KilowattHours(25.0),
             normal_use: KilowattHours(110.0),
         };
-        let mut scratch = DemandScratch::new(&axis);
-        // Scratch reuse across consecutive peaks must not leak state.
+        // A scratch first used at another resolution and then reused
+        // across consecutive peaks must give what a fresh one gives.
+        let mut reused = DemandScratch::new(&TimeAxis::hourly());
         for seed in [2u64, 2, 9] {
-            let fresh = ScenarioBuilder::from_peak(&homes, &axis, -6.0, &peak, seed, 1.08).build();
-            let reused = ScenarioBuilder::from_peak_with(
-                &homes,
-                &axis,
-                -6.0,
-                &peak,
-                seed,
-                1.08,
-                &mut scratch,
-            )
-            .build();
-            assert_eq!(fresh, reused, "seed {seed}");
+            let mut fresh = DemandScratch::new(&axis);
+            let a = ScenarioBuilder::from_peak(&homes, &axis, -6.0, &peak, seed, 1.08, &mut fresh)
+                .build();
+            let b = ScenarioBuilder::from_peak(&homes, &axis, -6.0, &peak, seed, 1.08, &mut reused)
+                .build();
+            assert_eq!(a, b, "seed {seed}");
         }
     }
 

@@ -4,67 +4,35 @@
 //! demand curve with an evening peak; where it exceeds normal production
 //! capacity, the expensive production band of Figure 1 is entered.
 
-use crate::household::{DemandScratch, Household};
+use crate::household::DemandScratch;
 use crate::production::ProductionModel;
 use crate::series::Series;
-use crate::slab::{aggregate_demand_slab_with, PopulationRef};
+use crate::slab::PopulationRef;
 use crate::time::{Interval, TimeAxis};
 use crate::units::KilowattHours;
 use crate::weather::WeatherModel;
 use serde::{Deserialize, Serialize};
 
-/// Aggregates household demand for a day with the given weather.
+/// Aggregates household demand for a day with the given weather, over
+/// either population layout.
 ///
-/// The returned series is in kWh per slot over all households. One
-/// [`DemandScratch`] is reused across the whole population, so the hot
-/// path allocates nothing per household (byte-identical to summing
-/// [`Household::demand_profile`] calls).
-pub fn aggregate_demand(
-    households: &[Household],
+/// The returned series is in kWh per slot over all households: the
+/// per-slot sum, in population order, of each household's
+/// [`Household::demand_profile`](crate::household::Household::demand_profile).
+pub fn aggregate_demand<'a>(
+    population: impl Into<PopulationRef<'a>>,
     weather: &Series,
     axis: &TimeAxis,
     seed: u64,
 ) -> DemandCurve {
-    let mean_temp = weather.mean();
     let mut total = Series::zeros(*axis);
     let mut scratch = DemandScratch::new(axis);
-    for h in households {
-        let profile = h.demand_profile_with(axis, mean_temp, seed, &mut scratch);
-        for (slot, load) in total.values_mut().iter_mut().zip(profile) {
-            *slot += load;
-        }
-    }
+    population.into().add_demand(
+        &mut scratch.kernel(axis, weather.mean()),
+        seed,
+        total.values_mut(),
+    );
     DemandCurve::new(total)
-}
-
-/// [`aggregate_demand`] over either population backend — dispatches to
-/// the per-object path or the batched slab kernel
-/// ([`aggregate_demand_slab_with`]); both produce bit-for-bit the same
-/// curve for the same population.
-pub fn aggregate_demand_ref(
-    population: PopulationRef<'_>,
-    weather: &Series,
-    axis: &TimeAxis,
-    seed: u64,
-) -> DemandCurve {
-    match population {
-        PopulationRef::Objects(households) => aggregate_demand(households, weather, axis, seed),
-        PopulationRef::Slab(view) => {
-            let mut scratch = DemandScratch::new(axis);
-            aggregate_demand_slab_with(view, weather, axis, seed, &mut scratch)
-        }
-    }
-}
-
-/// Convenience: demand for a weather model rather than a realised series.
-pub fn aggregate_demand_for_model(
-    households: &[Household],
-    model: &WeatherModel,
-    axis: &TimeAxis,
-    seed: u64,
-) -> DemandCurve {
-    let weather = model.temperatures(axis, seed);
-    aggregate_demand(households, &weather, axis, seed)
 }
 
 /// A demand curve (kWh per slot, aggregated over consumers).
@@ -190,28 +158,18 @@ impl DemandCurve {
 /// the day index seeding per-day weather and jitter.
 ///
 /// Returns `(demand, weather)` series pairs, one per day.
-pub fn simulate_horizon(
-    households: &[Household],
+pub fn simulate_horizon<'a>(
+    population: impl Into<PopulationRef<'a>>,
     model: &WeatherModel,
     horizon: &crate::calendar::Horizon,
     axis: &TimeAxis,
 ) -> Vec<(DemandCurve, Series)> {
-    simulate_horizon_ref(PopulationRef::Objects(households), model, horizon, axis)
-}
-
-/// [`simulate_horizon`] over either population backend — byte-identical
-/// across backends day by day.
-pub fn simulate_horizon_ref(
-    population: PopulationRef<'_>,
-    model: &WeatherModel,
-    horizon: &crate::calendar::Horizon,
-    axis: &TimeAxis,
-) -> Vec<(DemandCurve, Series)> {
+    let population = population.into();
     horizon
         .days()
         .map(|day| {
             let weather = model.temperatures(axis, day.index);
-            let base = aggregate_demand_ref(population, &weather, axis, day.index);
+            let base = aggregate_demand(population, &weather, axis, day.index);
             let curve = DemandCurve::new(base.series().scale(day.day_type.intensity_factor()));
             (curve, weather)
         })
@@ -231,7 +189,8 @@ mod tests {
     fn curve() -> DemandCurve {
         let axis = TimeAxis::quarter_hourly();
         let homes = PopulationBuilder::new().households(100).build(7);
-        aggregate_demand_for_model(&homes, &WeatherModel::winter(), &axis, 7)
+        let weather = WeatherModel::winter().temperatures(&axis, 7);
+        aggregate_demand(&homes, &weather, &axis, 7)
     }
 
     #[test]
@@ -329,8 +288,8 @@ mod tests {
         }
         // Weekend days (indices 5, 6 from a Monday start) carry the
         // weekend intensity factor versus the same-seed weekday baseline.
-        let weekday_equivalent =
-            aggregate_demand_for_model(&homes, &WeatherModel::winter(), &axis, 5);
+        let weekday_weather = WeatherModel::winter().temperatures(&axis, 5);
+        let weekday_equivalent = aggregate_demand(&homes, &weekday_weather, &axis, 5);
         assert!(days[5].0.total() > weekday_equivalent.total());
     }
 

@@ -16,28 +16,29 @@
 //!   ([`peak`]) used by the Utility Agent,
 //! * the lower/normal/higher price scheme ([`tariff`]) of Section 3.2.
 //!
-//! # Population backends
+//! # Population layouts
 //!
-//! Populations come in two interchangeable representations:
+//! A population is stored in one of two layouts over **one** demand
+//! kernel:
 //!
-//! * **Object backend** — `Vec<Household>`, each household owning its
+//! * **Objects** — `Vec<Household>`, each household owning its
 //!   `Vec<Device>` ([`PopulationBuilder::build`]). The natural shape
 //!   for small scenario work, per-household inspection, serde and
 //!   hand-built test fixtures.
-//! * **Slab backend** — [`slab::PopulationSlab`], the same fields as
-//!   struct-of-arrays with batched kernels
-//!   ([`slab::aggregate_demand_slab`] and friends) sweeping contiguous
-//!   slices ([`PopulationBuilder::build_slab`]). Use it when the
-//!   population is large (tens of thousands of households and up):
-//!   construction allocates a dozen arrays instead of millions of tiny
-//!   trees, demand synthesis runs several times faster, and
-//!   [`slab::PopulationSlab::shards`] splits one city across fleet
-//!   cells with zero copying.
+//! * **Slab** — [`slab::PopulationSlab`], the same fields as
+//!   struct-of-arrays columns ([`PopulationBuilder::build_slab`]).
+//!   Construction allocates a dozen arrays instead of millions of tiny
+//!   trees, and [`slab::PopulationSlab::shards`] splits one city
+//!   across fleet cells with zero copying.
 //!
-//! Both backends are **byte-identical** — same jitter streams, same
-//! accumulation order, proptest-pinned — so campaigns, goldens and
-//! archives never notice which one produced a season. APIs that accept
-//! either take a [`slab::PopulationRef`].
+//! APIs that accept either take a [`slab::PopulationRef`]. Whatever
+//! the layout, every demand figure — a household's day profile, an
+//! aggregate curve, a peak interval's `(usage, potential)` — comes from
+//! the same private per-household kernel, fed device entries
+//! `(kind, rated power, flexibility)` in device-list order with the
+//! same jitter stream and accumulation order. The layouts are therefore
+//! byte-identical by construction, and campaigns, goldens and archives
+//! never notice which one produced a season.
 //!
 //! [`PopulationBuilder::build`]: population::PopulationBuilder::build
 //! [`PopulationBuilder::build_slab`]: population::PopulationBuilder::build_slab
@@ -62,6 +63,7 @@ pub mod calendar;
 pub mod demand;
 pub mod device;
 pub mod household;
+mod kernel;
 pub mod peak;
 pub mod population;
 pub mod prediction;
@@ -76,9 +78,7 @@ pub mod weather;
 /// Convenient glob-import of the most frequently used items.
 pub mod prelude {
     pub use crate::calendar::{CalendarDay, DayType, Horizon};
-    pub use crate::demand::{
-        aggregate_demand, aggregate_demand_ref, simulate_horizon, simulate_horizon_ref, DemandCurve,
-    };
+    pub use crate::demand::{aggregate_demand, simulate_horizon, DemandCurve};
     pub use crate::device::{Device, DeviceKind};
     pub use crate::household::{DemandScratch, Household, HouseholdId};
     pub use crate::peak::{Peak, PeakDetector};
@@ -89,10 +89,7 @@ pub mod prelude {
     };
     pub use crate::production::ProductionModel;
     pub use crate::series::Series;
-    pub use crate::slab::{
-        aggregate_demand_slab, interval_flexibility_slab, saving_potential_slab, PopulationRef,
-        PopulationSlab, SlabView,
-    };
+    pub use crate::slab::{aggregate_demand_slab, PopulationRef, PopulationSlab, SlabView};
     pub use crate::tariff::Tariff;
     pub use crate::time::{Interval, TimeAxis, TimeOfDay};
     pub use crate::units::{Celsius, Fraction, KilowattHours, Kilowatts, Money, PricePerKwh};

@@ -1,48 +1,27 @@
-//! Struct-of-arrays population backend for city-scale simulation.
+//! Struct-of-arrays population layout for city-scale simulation.
 //!
-//! The per-object backend ([`Household`] owning a `Vec<Device>`) is the
-//! right shape for small scenario work, but a million households means a
-//! million tiny heap trees and a pointer-chase per demand sweep. This
-//! module stores the same population as one contiguous slab per field —
-//! [`PopulationSlab`] — plus batched kernels that reuse the
-//! [`DemandScratch`] duty-shape cache and stream fused multiply-add
-//! passes over slices:
+//! The object layout ([`Household`] owning a `Vec<Device>`) is the
+//! right shape for small scenario work, but a million households means
+//! a million tiny heap trees. This module stores the same population as
+//! one contiguous array per field — [`PopulationSlab`] — with each
+//! household's device entries delimited by offsets, and borrows
+//! contiguous household ranges of it as [`SlabView`]s.
 //!
-//! * [`aggregate_demand_slab`] — one day of aggregate demand,
-//! * [`interval_flexibility_slab`] — per-household `(usage, potential)`
-//!   over a peak interval (the scenario-derivation hot path, swept over
-//!   the clipped interval only),
-//! * [`saving_potential_slab`] — aggregate shed capacity over an
-//!   interval.
-//!
-//! Every kernel is **byte-identical** to folding the corresponding
-//! per-object [`Household`] call over the same population: same
-//! per-household jitter stream, same left-associated multiplications,
-//! same accumulation order (per-device, then per-household, then
-//! grand). This is pinned by proptests in `tests/slab_properties.rs`,
-//! so campaigns may switch backends (via [`PopulationRef`]) without
-//! re-blessing a single golden report.
+//! [`PopulationRef`] passes either layout through the demand,
+//! scenario, campaign and fleet layers. Both layouts feed the same
+//! household-day demand kernel one household at a time, so they yield
+//! the same bits for the same households by construction; the slab
+//! only changes where the kernel's inputs are read from.
 //!
 //! Shards for fleet work come from [`PopulationSlab::shards`]: borrowed
-//! [`SlabView`]s over contiguous household ranges, no copying.
+//! views over contiguous household ranges, no copying.
 
-use crate::demand::DemandCurve;
-use crate::device::DeviceKind;
-use crate::household::{shape_of, standard_devices, DemandScratch, Household, HouseholdId};
+use crate::demand::{aggregate_demand, DemandCurve};
+use crate::household::{standard_devices, DemandScratch, Household, HouseholdId};
+use crate::kernel::{household_scale, Entry, Kernel};
 use crate::series::Series;
 use crate::time::{Interval, TimeAxis};
 use crate::units::KilowattHours;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// The position of `kind` in [`DeviceKind::all`] — the slab's per-entry
-/// kind encoding.
-fn kind_pos(kind: DeviceKind) -> u8 {
-    DeviceKind::all()
-        .iter()
-        .position(|k| *k == kind)
-        .expect("every kind appears in DeviceKind::all()") as u8
-}
 
 /// A population stored as struct-of-arrays: one contiguous array per
 /// field, households delimited by entry offsets.
@@ -126,7 +105,7 @@ impl PopulationSlab {
         self.intensity.push(h.intensity());
         self.allowed_use.push(h.allowed_use().value());
         for dev in h.devices() {
-            self.kind_index.push(kind_pos(dev.kind()));
+            self.kind_index.push(dev.kind().index());
             self.rated_power.push(dev.rated_power().value());
             self.flexibility.push(dev.flexibility().value());
         }
@@ -145,7 +124,7 @@ impl PopulationSlab {
         self.intensity.push(0.6 + 0.2 * f64::from(occupants));
         self.allowed_use.push(18.0 + 9.0 * f64::from(occupants));
         for dev in standard_devices(occupants) {
-            self.kind_index.push(kind_pos(dev.kind()));
+            self.kind_index.push(dev.kind().index());
             self.rated_power.push(dev.rated_power().value());
             self.flexibility.push(dev.flexibility().value());
         }
@@ -284,6 +263,28 @@ impl<'a> SlabView<'a> {
         self.slab.intensity[self.index(i)]
     }
 
+    /// The usage scale of the view's `i`-th household for day `seed`.
+    #[inline]
+    fn usage_scale(&self, i: usize, seed: u64) -> impl FnMut() -> f64 {
+        let h = self.index(i);
+        household_scale(seed, self.slab.ids[h], self.slab.intensity[h])
+    }
+
+    /// The device entries of the view's `i`-th household, in
+    /// device-list order.
+    #[inline]
+    fn entries(&self, i: usize) -> impl Iterator<Item = Entry> + 'a {
+        let h = self.index(i);
+        let slab = self.slab;
+        let range = slab.offsets[h] as usize..slab.offsets[h + 1] as usize;
+        slab.kind_index[range.clone()]
+            .iter()
+            .zip(&slab.rated_power[range.clone()])
+            .zip(&slab.flexibility[range])
+            .map(|((&kind, &rated), &flexibility)| (kind, rated, flexibility))
+    }
+
+    #[inline]
     fn index(&self, i: usize) -> usize {
         assert!(
             i < self.len(),
@@ -294,15 +295,15 @@ impl<'a> SlabView<'a> {
     }
 }
 
-/// A population behind either backend, passed by value through the
-/// scenario/campaign/fleet layers. Both arms negotiate byte-identically;
-/// pick [`PopulationRef::Slab`] when the population is large enough for
-/// allocation and cache behaviour to matter.
+/// A population in either storage layout, passed by value through the
+/// scenario/campaign/fleet layers. Both layouts run the same demand
+/// kernel and negotiate byte-identically; they differ only in memory
+/// footprint and in how a city is split into zero-copy shards.
 #[derive(Debug, Clone, Copy)]
 pub enum PopulationRef<'a> {
-    /// The per-object backend: a slice of [`Household`]s.
+    /// The object layout: a slice of [`Household`]s.
     Objects(&'a [Household]),
-    /// The struct-of-arrays backend: a [`SlabView`].
+    /// The struct-of-arrays layout: a [`SlabView`].
     Slab(SlabView<'a>),
 }
 
@@ -328,11 +329,27 @@ impl<'a> PopulationRef<'a> {
         }
     }
 
+    /// Adds every household's day profile into `out`, in population
+    /// order.
+    pub(crate) fn add_demand(&self, kernel: &mut Kernel<'_>, seed: u64, out: &mut [f64]) {
+        match self {
+            PopulationRef::Objects(hs) => {
+                for h in *hs {
+                    kernel.add_day(h.usage_scale(seed), h.entries(), out);
+                }
+            }
+            PopulationRef::Slab(view) => {
+                for i in 0..view.len() {
+                    kernel.add_day(view.usage_scale(i, seed), view.entries(i), out);
+                }
+            }
+        }
+    }
+
     /// `(usage, potential)` over `interval` for every household, in
     /// population order, delivered as `sink(index, usage, potential)` —
-    /// the backend-dispatched form of
-    /// [`Household::interval_flexibility_with`]. Byte-identical across
-    /// backends.
+    /// the per-household values of [`Household::interval_flexibility`],
+    /// sweeping only the interval's slots.
     pub fn interval_flexibility_for_each(
         &self,
         axis: &TimeAxis,
@@ -342,16 +359,21 @@ impl<'a> PopulationRef<'a> {
         scratch: &mut DemandScratch,
         mut sink: impl FnMut(usize, KilowattHours, KilowattHours),
     ) {
+        let mut kernel = scratch.kernel(axis, mean_temp);
         match self {
             PopulationRef::Objects(hs) => {
                 for (i, h) in hs.iter().enumerate() {
                     let (usage, potential) =
-                        h.interval_flexibility_with(axis, mean_temp, seed, interval, scratch);
+                        kernel.interval(h.usage_scale(seed), h.entries(), interval);
                     sink(i, usage, potential);
                 }
             }
             PopulationRef::Slab(view) => {
-                interval_flexibility_slab(*view, axis, mean_temp, seed, interval, scratch, sink);
+                for i in 0..view.len() {
+                    let (usage, potential) =
+                        kernel.interval(view.usage_scale(i, seed), view.entries(i), interval);
+                    sink(i, usage, potential);
+                }
             }
         }
     }
@@ -375,221 +397,20 @@ impl<'a> From<SlabView<'a>> for PopulationRef<'a> {
     }
 }
 
-/// Per-kernel-call tables: one temperature factor and one cached duty
-/// shape per device kind, so the per-entry loop is pure arithmetic.
-struct KindTables<'s> {
-    temp_factor: [f64; 8],
-    shapes: [&'s [f64]; 8],
-}
-
-/// Prefetches every kind's duty shape into the scratch cache (values
-/// are pure functions of `(kind, resolution)`, so warming the cache
-/// never changes any output) and snapshots the per-kind temperature
-/// factors exactly as [`Device::load_profile_from_shape`] computes
-/// them.
-///
-/// [`Device::load_profile_from_shape`]: crate::device::Device::load_profile_from_shape
-fn kind_tables(
-    shapes: &mut Vec<(DeviceKind, Vec<f64>)>,
-    mean_temp: f64,
-    n: usize,
-) -> KindTables<'_> {
-    for kind in DeviceKind::all() {
-        let _ = shape_of(shapes, kind, n);
-    }
-    let shapes = &*shapes;
-    let mut tables = KindTables {
-        temp_factor: [1.0; 8],
-        shapes: [&[]; 8],
-    };
-    for (k, kind) in DeviceKind::all().into_iter().enumerate() {
-        tables.temp_factor[k] = if kind.is_temperature_sensitive() {
-            1.0f64.max(1.0 + 0.045 * (16.0 - mean_temp))
-        } else {
-            1.0
-        };
-        let pos = shapes
-            .iter()
-            .position(|(cached, _)| *cached == kind)
-            .expect("shape prefetched above");
-        tables.shapes[k] = &shapes[pos].1[..n];
-    }
-    tables
-}
-
-/// The per-household jitter RNG — the same stream
-/// [`Household::demand_profile_into`] seeds.
-fn household_rng(seed: u64, id: u64) -> StdRng {
-    StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(id))
-}
-
-/// One day of aggregate demand over a slab view — the batched form of
-/// [`aggregate_demand`](crate::demand::aggregate_demand), byte-identical
-/// to it on the same population.
+/// One day of aggregate demand over a slab view — [`aggregate_demand`]
+/// on the slab layout.
 pub fn aggregate_demand_slab(
     view: SlabView<'_>,
     weather: &Series,
     axis: &TimeAxis,
     seed: u64,
 ) -> DemandCurve {
-    let mut scratch = DemandScratch::new(axis);
-    aggregate_demand_slab_with(view, weather, axis, seed, &mut scratch)
-}
-
-/// [`aggregate_demand_slab`] against a reusable [`DemandScratch`] (for
-/// its duty-shape cache and per-household accumulator) — the form day
-/// loops call so repeated days allocate only their output curve.
-pub fn aggregate_demand_slab_with(
-    view: SlabView<'_>,
-    weather: &Series,
-    axis: &TimeAxis,
-    seed: u64,
-    scratch: &mut DemandScratch,
-) -> DemandCurve {
-    let mean_temp = weather.mean();
-    let n = axis.slots_per_day();
-    scratch.ensure(n);
-    let mut grand = Series::zeros(*axis);
-    let out = grand.values_mut();
-    let slot_hours = axis.slot_hours();
-    let DemandScratch { device, shapes, .. } = scratch;
-    let tables = kind_tables(shapes, mean_temp, n);
-    let slab = view.slab;
-    // The register-blocked sweep: the household's slot totals live in a
-    // stack block while every device entry accumulates into it, instead
-    // of round-tripping a heap buffer through store-to-load forwarding
-    // once per entry per slot. Each block slot sees the same additions
-    // in the same (device-list) order as the object path, so the totals
-    // are bit-for-bit identical; only then does the block fold into the
-    // grand curve, household by household, exactly like
-    // `aggregate_demand` (f64 addition is not associative, so the
-    // two-level order is load-bearing).
-    const BLOCK: usize = 32;
-    for h in view.start..view.end {
-        let mut rng = household_rng(seed, slab.ids[h]);
-        let intensity = slab.intensity[h];
-        let entries = slab.offsets[h] as usize..slab.offsets[h + 1] as usize;
-        let k = entries.len();
-        if device.len() < k {
-            device.resize(k, 0.0);
-        }
-        // One jitter draw per entry in device-list order — the stream
-        // never interleaves with the slot math, so hoisting the power
-        // computation out of the sweep changes no value.
-        for (j, e) in entries.clone().enumerate() {
-            let jitter = rng.gen_range(0.85..1.15);
-            // Left-associated exactly as the object path: rated *
-            // (household intensity * jitter), then * temp factor.
-            device[j] = slab.rated_power[e]
-                * (intensity * jitter)
-                * tables.temp_factor[slab.kind_index[e] as usize];
-        }
-        let powers = &device[..k];
-        let kinds = &slab.kind_index[entries];
-        let mut s = 0;
-        while s + BLOCK <= n {
-            let mut acc = [0.0f64; BLOCK];
-            for (&power, &kind) in powers.iter().zip(kinds) {
-                let shape = &tables.shapes[kind as usize][s..s + BLOCK];
-                for (slot, &duty) in acc.iter_mut().zip(shape) {
-                    *slot += (power * duty) * slot_hours;
-                }
-            }
-            for (g, &t) in out[s..s + BLOCK].iter_mut().zip(acc.iter()) {
-                *g += t;
-            }
-            s += BLOCK;
-        }
-        // Scalar tail for axes whose day length is not a block multiple.
-        while s < n {
-            let mut acc = 0.0;
-            for (&power, &kind) in powers.iter().zip(kinds) {
-                acc += (power * tables.shapes[kind as usize][s]) * slot_hours;
-            }
-            out[s] += acc;
-            s += 1;
-        }
-    }
-    DemandCurve::new(grand)
-}
-
-/// `(usage, potential)` over `interval` for every household of the
-/// view, in order, delivered as `sink(index, usage, potential)` — the
-/// batched form of [`Household::interval_flexibility_with`],
-/// byte-identical to calling it per household.
-///
-/// Only the interval's slots are swept (the outputs never read the
-/// rest of the day), so scenario derivation over a 2-hour peak does a
-/// twelfth of the full-day work.
-pub fn interval_flexibility_slab(
-    view: SlabView<'_>,
-    axis: &TimeAxis,
-    mean_temp: f64,
-    seed: u64,
-    interval: Interval,
-    scratch: &mut DemandScratch,
-    mut sink: impl FnMut(usize, KilowattHours, KilowattHours),
-) {
-    let n = axis.slots_per_day();
-    scratch.ensure(n);
-    let slot_hours = axis.slot_hours();
-    let clipped = interval.intersect(Interval::new(0, n));
-    // An interval entirely beyond the day clips to an empty range whose
-    // bounds still sit past `n`; clamp so the slices stay in range.
-    let (lo, hi) = (clipped.start().min(n), clipped.end().min(n));
-    let DemandScratch { total, shapes, .. } = scratch;
-    let tables = kind_tables(shapes, mean_temp, n);
-    let slab = view.slab;
-    let house = &mut total[lo..hi];
-    for (local, h) in (view.start..view.end).enumerate() {
-        let mut rng = household_rng(seed, slab.ids[h]);
-        let intensity = slab.intensity[h];
-        house.fill(0.0);
-        let mut potential = KilowattHours::ZERO;
-        for e in slab.offsets[h] as usize..slab.offsets[h + 1] as usize {
-            let jitter = rng.gen_range(0.85..1.15);
-            let kind = slab.kind_index[e] as usize;
-            let power = slab.rated_power[e] * (intensity * jitter) * tables.temp_factor[kind];
-            let shape = &tables.shapes[kind][lo..hi];
-            // One fused pass per entry: the object path materialises the
-            // device profile once and reads it twice (potential, then
-            // total); the load value and both accumulation orders are
-            // bit-for-bit the same.
-            let mut entry_sum = 0.0;
-            for (slot, &duty) in house.iter_mut().zip(shape) {
-                let load = (power * duty) * slot_hours;
-                entry_sum += load;
-                *slot += load;
-            }
-            potential += KilowattHours(slab.flexibility[e] * entry_sum);
-        }
-        let usage = KilowattHours(house.iter().sum());
-        sink(local, usage, potential);
-    }
-}
-
-/// Aggregate energy the viewed households could shed over `interval` —
-/// the batched form of summing [`Household::saving_potential`] in
-/// population order.
-pub fn saving_potential_slab(
-    view: SlabView<'_>,
-    axis: &TimeAxis,
-    mean_temp: f64,
-    seed: u64,
-    interval: Interval,
-    scratch: &mut DemandScratch,
-) -> KilowattHours {
-    let mut acc = KilowattHours::ZERO;
-    interval_flexibility_slab(view, axis, mean_temp, seed, interval, scratch, |_, _, p| {
-        acc += p;
-    });
-    acc
+    aggregate_demand(view, weather, axis, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::aggregate_demand;
     use crate::population::PopulationBuilder;
     use crate::time::TimeOfDay;
     use crate::weather::WeatherModel;
@@ -630,6 +451,22 @@ mod tests {
         assert_eq!(object, batched);
     }
 
+    /// Saving potential summed over the slab view, via the slab arm of
+    /// [`PopulationRef::interval_flexibility_for_each`].
+    fn slab_potential(view: SlabView<'_>, interval: Interval) -> KilowattHours {
+        let mut scratch = DemandScratch::new(&axis());
+        let mut total = KilowattHours::ZERO;
+        PopulationRef::Slab(view).interval_flexibility_for_each(
+            &axis(),
+            -4.0,
+            1,
+            interval,
+            &mut scratch,
+            |_, _, p| total += p,
+        );
+        total
+    }
+
     #[test]
     fn interval_flexibility_matches_object_backend_bit_for_bit() {
         let homes = PopulationBuilder::new().households(40).build(11);
@@ -637,8 +474,7 @@ mod tests {
         let iv = evening(axis());
         let mut scratch = DemandScratch::new(&axis());
         let mut got = Vec::new();
-        interval_flexibility_slab(
-            slab.view(),
+        PopulationRef::Slab(slab.view()).interval_flexibility_for_each(
             &axis(),
             -6.0,
             5,
@@ -652,20 +488,6 @@ mod tests {
             let expect = h.interval_flexibility(&axis(), -6.0, 5, iv);
             assert_eq!((*usage, *potential), expect);
         }
-    }
-
-    #[test]
-    fn saving_potential_matches_object_fold() {
-        let homes = PopulationBuilder::new().households(30).build(7);
-        let slab = PopulationSlab::from_households(&homes);
-        let iv = evening(axis());
-        let mut scratch = DemandScratch::new(&axis());
-        let batched = saving_potential_slab(slab.view(), &axis(), -4.0, 7, iv, &mut scratch);
-        let mut object = KilowattHours::ZERO;
-        for h in &homes {
-            object += h.saving_potential(&axis(), -4.0, 7, iv);
-        }
-        assert_eq!(batched, object);
     }
 
     #[test]
@@ -704,15 +526,7 @@ mod tests {
     #[test]
     fn empty_interval_yields_zero_flexibility() {
         let slab = PopulationBuilder::new().households(5).build(1).pipe_slab();
-        let mut scratch = DemandScratch::new(&axis());
-        let p = saving_potential_slab(
-            slab.view(),
-            &axis(),
-            -4.0,
-            1,
-            Interval::new(10, 10),
-            &mut scratch,
-        );
+        let p = slab_potential(slab.view(), Interval::new(10, 10));
         assert_eq!(p, KilowattHours::ZERO);
     }
 
@@ -723,15 +537,7 @@ mod tests {
         // it as empty rather than slice out of bounds.
         let slab = PopulationBuilder::new().households(5).build(1).pipe_slab();
         let n = axis().slots_per_day();
-        let mut scratch = DemandScratch::new(&axis());
-        let p = saving_potential_slab(
-            slab.view(),
-            &axis(),
-            -4.0,
-            1,
-            Interval::new(n + 3, n + 9),
-            &mut scratch,
-        );
+        let p = slab_potential(slab.view(), Interval::new(n + 3, n + 9));
         assert_eq!(p, KilowattHours::ZERO);
     }
 

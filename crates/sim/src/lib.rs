@@ -14,9 +14,7 @@
 //! * a **network model** ([`network`]) with latency and loss for fault
 //!   injection (lost bids, late bids);
 //! * **metrics** ([`metrics`]) and an **event log** ([`log`]) that the
-//!   experiment harness reads;
-//! * a **std-threaded batch executor** ([`threaded`]) to fan
-//!   independent simulation runs (parameter sweeps) across cores.
+//!   experiment harness reads.
 //!
 //! # Example
 //!
@@ -63,7 +61,6 @@ pub mod metrics;
 pub mod network;
 pub mod rng;
 pub mod runtime;
-pub mod threaded;
 
 /// The most frequently used items.
 pub mod prelude {
@@ -74,5 +71,4 @@ pub mod prelude {
     pub use crate::metrics::Metrics;
     pub use crate::network::NetworkModel;
     pub use crate::runtime::{RunOutcome, Simulation};
-    pub use crate::threaded::run_batch;
 }

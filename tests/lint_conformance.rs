@@ -23,26 +23,27 @@ fn workspace_is_lint_clean() {
 
 #[test]
 fn slab_hot_path_is_inside_the_lint_walk() {
-    // The struct-of-arrays kernels are the hottest deterministic code
-    // in the workspace; a walk that silently skipped them would let a
-    // wall-clock read or HashMap iteration land in the demand path
-    // unflagged. Pin both that the file is visited and that the
-    // determinism rules fire on slab-shaped code.
+    // The demand kernel and the slab layout that feeds it are the
+    // hottest deterministic code in the workspace; a walk that silently
+    // skipped them would let a wall-clock read or HashMap iteration land
+    // in the demand path unflagged. Pin both that the files are visited
+    // and that the determinism rules fire on kernel-shaped code.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let files = loadbal_lint::workspace_files(root).expect("workspace walk succeeds");
-    assert!(
-        files.iter().any(|f| f.ends_with("crates/grid/src/slab.rs")),
-        "crates/grid/src/slab.rs must be covered by the workspace lint pass"
-    );
-    // Fixture: the same rules that keep slab.rs clean must flag a
-    // planted violation in a file at its path.
-    let planted =
-        "pub fn aggregate_demand_slab_with() {\n    let t0 = std::time::Instant::now();\n}\n";
-    let findings = loadbal_lint::lint_file("crates/grid/src/slab.rs", planted);
-    assert!(
-        findings.iter().any(|f| f.to_string().contains("det-time")),
-        "det-time must fire on a wall-clock read planted in slab.rs: {findings:?}"
-    );
+    for path in ["crates/grid/src/slab.rs", "crates/grid/src/kernel.rs"] {
+        assert!(
+            files.iter().any(|f| f.ends_with(path)),
+            "{path} must be covered by the workspace lint pass"
+        );
+        // Fixture: the same rules that keep the file clean must flag a
+        // planted violation in a file at its path.
+        let planted = "pub fn add_day() {\n    let t0 = std::time::Instant::now();\n}\n";
+        let findings = loadbal_lint::lint_file(path, planted);
+        assert!(
+            findings.iter().any(|f| f.to_string().contains("det-time")),
+            "det-time must fire on a wall-clock read planted in {path}: {findings:?}"
+        );
+    }
 }
 
 #[test]

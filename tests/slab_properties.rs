@@ -1,28 +1,36 @@
-//! Property tests pinning the struct-of-arrays population backend's
-//! central claim: for any population, axis, weather and seed, the
-//! batched slab kernels produce **byte-identical** results to the
-//! per-object `Household` paths — demand synthesis, interval
-//! flexibility, saving potential, and whole negotiated seasons run
-//! through either backend of [`PopulationRef`] at any thread count.
+//! Property tests pinning the demand kernel against a plain
+//! transcription of the load model (`reference`), on both population
+//! layouts: for any population, axis, weather and seed, aggregate
+//! demand, per-household day profiles and per-household interval
+//! flexibility equal the transcription bit for bit — whether the
+//! households are `Household` objects or a `PopulationSlab` — and whole
+//! negotiated seasons run through either layout of [`PopulationRef`]
+//! are identical at any thread count.
+
+mod reference;
 
 use loadbal::core::campaign::{CampaignBuilder, CampaignRunner, ClosedLoop, FixedPredictor};
 use loadbal::core::fleet::FleetRunner;
 use powergrid::calendar::Horizon;
-use powergrid::demand::aggregate_demand_ref;
+use powergrid::demand::aggregate_demand;
 use powergrid::household::{DemandScratch, Household, HouseholdId};
 use powergrid::population::PopulationBuilder;
 use powergrid::prediction::MovingAverage;
-use powergrid::slab::{
-    interval_flexibility_slab, saving_potential_slab, PopulationRef, PopulationSlab,
-};
+use powergrid::slab::{PopulationRef, PopulationSlab};
 use powergrid::time::{Interval, TimeAxis};
-use powergrid::units::KilowattHours;
 use powergrid::weather::{Season, WeatherModel};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 
+/// Hourly (24 slots: scalar tail only), 20-minute (72: two register
+/// blocks plus a tail, and a slot length of an inexact ⅓ h) and
+/// quarter-hourly (96: blocks only) days.
 fn arb_axis() -> impl Strategy<Value = TimeAxis> {
-    prop_oneof![Just(TimeAxis::hourly()), Just(TimeAxis::quarter_hourly()),]
+    prop_oneof![
+        Just(TimeAxis::hourly()),
+        Just(TimeAxis::new(20)),
+        Just(TimeAxis::quarter_hourly()),
+    ]
 }
 
 /// Standard households with arbitrary occupancies and non-contiguous
@@ -36,21 +44,22 @@ fn arb_households() -> impl Strategy<Value = Vec<Household>> {
     })
 }
 
-/// An interval that may be empty, interior, or overhang the day (the
-/// kernels clip; the object path sweeps the whole day — results must
-/// still agree bit for bit).
-fn arb_interval(max_slots: usize) -> impl Strategy<Value = Interval> {
-    (0..=max_slots, 0..=max_slots * 2).prop_map(|(a, b)| {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        Interval::new(lo, hi)
-    })
+/// An interval that may be empty, interior, overhang the day or lie
+/// entirely beyond it (for every axis above: up to 192 slots).
+fn arb_interval() -> impl Strategy<Value = Interval> {
+    (0usize..=200, 0usize..=200).prop_map(|(a, b)| Interval::new(a.min(b), a.max(b)))
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One day of aggregate demand: the register-blocked slab kernel
-    /// returns bit-for-bit the curve the per-object scratch path sums.
+    /// One day of aggregate demand on either layout, and every
+    /// household's own day profile, equal the plain transcription bit
+    /// for bit.
     #[test]
     fn slab_demand_is_byte_identical_to_object_demand(
         homes in arb_households(),
@@ -60,45 +69,58 @@ proptest! {
     ) {
         let slab = PopulationSlab::from_households(&homes);
         let weather = WeatherModel::winter().temperatures(&axis, mean_seed);
-        let object = aggregate_demand_ref(PopulationRef::Objects(&homes), &weather, &axis, seed);
-        let slab_curve = aggregate_demand_ref(slab.view().into(), &weather, &axis, seed);
-        prop_assert_eq!(object, slab_curve);
+        let mean_temp = weather.mean();
+        let expected = bits(&reference::aggregate_day(&homes, &axis, mean_temp, seed));
+        let object = aggregate_demand(&homes, &weather, &axis, seed);
+        prop_assert_eq!(bits(object.series().values()), expected.clone());
+        let slab_curve = aggregate_demand(slab.view(), &weather, &axis, seed);
+        prop_assert_eq!(bits(slab_curve.series().values()), expected);
+        for h in &homes {
+            prop_assert_eq!(
+                bits(h.demand_profile(&axis, mean_temp, seed).values()),
+                bits(&reference::household_day(h, &axis, mean_temp, seed))
+            );
+        }
     }
 
-    /// Interval flexibility and saving potential: per household, the
-    /// fused clipped-interval sweep delivers exactly the `(usage,
-    /// potential)` pair the object path computes, and the slab fold
-    /// equals the object fold.
+    /// Per-household `(usage, potential)` over any interval — including
+    /// ones overhanging or beyond the day — equals the plain
+    /// transcription bit for bit, on either layout and through
+    /// `Household::interval_flexibility`, with one scratch reused
+    /// throughout.
     #[test]
     fn slab_flexibility_is_byte_identical_per_household(
         homes in arb_households(),
         axis in arb_axis(),
         mean_temp in -12.0f64..22.0,
         seed in 0u64..1000,
-        interval in arb_interval(96),
+        interval in arb_interval(),
     ) {
         let slab = PopulationSlab::from_households(&homes);
-        let mut scratch = DemandScratch::new(&axis);
-        let mut pairs = Vec::with_capacity(homes.len());
-        interval_flexibility_slab(
-            slab.view(), &axis, mean_temp, seed, interval, &mut scratch,
-            |i, usage, potential| pairs.push((i, usage, potential)),
-        );
-        prop_assert_eq!(pairs.len(), homes.len());
-        for (h, (i, usage, potential)) in homes.iter().zip(&pairs) {
-            let clipped = interval.intersect(Interval::new(0, axis.slots_per_day()));
-            let (obj_usage, obj_potential) =
-                h.interval_flexibility(&axis, mean_temp, seed, clipped);
-            prop_assert_eq!(homes[*i].id(), h.id());
-            prop_assert_eq!(usage.value().to_bits(), obj_usage.value().to_bits());
-            prop_assert_eq!(potential.value().to_bits(), obj_potential.value().to_bits());
+        let expected: Vec<(u64, u64)> = homes
+            .iter()
+            .map(|h| {
+                let (usage, potential) =
+                    reference::interval_flexibility(h, &axis, mean_temp, seed, interval);
+                (usage.to_bits(), potential.to_bits())
+            })
+            .collect();
+        let mut scratch = DemandScratch::new(&TimeAxis::hourly());
+        for population in [PopulationRef::Objects(&homes), PopulationRef::Slab(slab.view())] {
+            let mut got = Vec::with_capacity(homes.len());
+            population.interval_flexibility_for_each(
+                &axis, mean_temp, seed, interval, &mut scratch,
+                |i, usage, potential| {
+                    assert_eq!(i, got.len(), "households arrive in population order");
+                    got.push((usage.value().to_bits(), potential.value().to_bits()));
+                },
+            );
+            prop_assert_eq!(&got, &expected);
         }
-        let slab_total =
-            saving_potential_slab(slab.view(), &axis, mean_temp, seed, interval, &mut scratch);
-        let object_total = homes.iter().fold(KilowattHours::ZERO, |acc, h| {
-            acc + h.saving_potential(&axis, mean_temp, seed, interval)
-        });
-        prop_assert_eq!(slab_total.value().to_bits(), object_total.value().to_bits());
+        for (h, &(usage, potential)) in homes.iter().zip(&expected) {
+            let (u, p) = h.interval_flexibility(&axis, mean_temp, seed, interval);
+            prop_assert_eq!((u.value().to_bits(), p.value().to_bits()), (usage, potential));
+        }
     }
 
     /// The builder's two exits agree: `build_slab(seed)` is exactly
